@@ -10,7 +10,7 @@ stays nearly flat.
 Run:  python examples/quickstart.py
 """
 
-from repro import ParallelMDRunner, RunConfig, get_preset
+from repro import RunConfig, api, get_preset
 from repro.reporting import comparison_report, series_preview
 
 
@@ -25,11 +25,10 @@ def main() -> None:
     for dlb_enabled in (False, True):
         label = "DLB-DDM" if dlb_enabled else "DDM"
         print(f"running {label} ...")
-        runner = ParallelMDRunner(
+        results[label] = api.simulate(
             preset.simulation_config(dlb_enabled=dlb_enabled),
-            RunConfig(steps=preset.steps, seed=7, record_interval=10),
+            run=RunConfig(steps=preset.steps, seed=7, record_interval=10),
         )
-        results[label] = runner.run()
 
     print()
     print(comparison_report(results["DDM"], results["DLB-DDM"]))

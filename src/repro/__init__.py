@@ -15,12 +15,10 @@ Quickstart::
     print(result.summary())
 
 :mod:`repro.api` is the stable public surface; the runner classes it wraps
-(``repro.ParallelMDRunner`` / ``repro.DrivenLoadRunner``) remain importable
-from the top level as deprecated shims.
+live in :mod:`repro.core.runner`.
 """
 
 import importlib
-import warnings
 
 from .config import (
     DecompositionConfig,
@@ -58,28 +56,12 @@ from .workloads import (
 
 __version__ = "1.0.0"
 
-#: Top-level names now served lazily with a DeprecationWarning: construct
-#: runs through :func:`repro.api.simulate` / :func:`repro.api.simulate_driven`
-#: instead of driving the runner classes directly.
-_DEPRECATED_RUNNERS = {
-    "ParallelMDRunner": ("repro.core.runner", "repro.api.simulate"),
-    "DrivenLoadRunner": ("repro.core.runner", "repro.api.simulate_driven"),
-}
-
 
 def __getattr__(name: str):
     if name == "api":
         return importlib.import_module(".api", __name__)
-    if name in _DEPRECATED_RUNNERS:
-        module_name, replacement = _DEPRECATED_RUNNERS[name]
-        warnings.warn(
-            f"repro.{name} is deprecated; use {replacement}() (the class "
-            f"itself remains available as {module_name}.{name})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module_name), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnalysisError",
@@ -89,13 +71,11 @@ __all__ = [
     "DLBConfig",
     "DecompositionConfig",
     "DecompositionError",
-    "DrivenLoadRunner",
     "DynamicLoadBalancer",
     "GeometryError",
     "LennardJones",
     "MDConfig",
     "MachineConfig",
-    "ParallelMDRunner",
     "ParticleSystem",
     "Preset",
     "ProtocolError",

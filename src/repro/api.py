@@ -16,9 +16,7 @@ record provenance in ``result.meta``.
 
 The CLI, the campaign executor and the experiment drivers all construct
 their runs through this module; the runner classes in
-:mod:`repro.core.runner` remain importable but are an implementation layer,
-and their old top-level re-exports (``repro.ParallelMDRunner``) are
-deprecated shims.
+:mod:`repro.core.runner` remain importable but are an implementation layer.
 """
 
 from __future__ import annotations

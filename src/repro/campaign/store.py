@@ -106,6 +106,25 @@ def default_instance_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}-{secrets.token_hex(3)}"
 
 
+def _enable_wal(db: sqlite3.Connection, busy_timeout: float) -> None:
+    """Switch ``db`` to WAL, retrying while a sibling holds the lock.
+
+    Two processes opening one fresh store at once can deadlock on the
+    switch, and SQLite then fails one of them at once with "database is
+    locked" instead of running the busy handler; retry within the same
+    bounded wait the handler would give.
+    """
+    deadline = time.monotonic() + busy_timeout
+    while True:
+        try:
+            db.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.05)
+
+
 def quarantine_payload(
     reason: str,
     failed_owners: list[str],
@@ -223,7 +242,7 @@ class RunStore:
             # makes small commits cheaper; busy_timeout turns lock contention
             # between sibling processes into a bounded wait instead of an
             # immediate "database is locked" error.
-            self._db.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(self._db, busy_timeout)
             self._db.execute(f"PRAGMA busy_timeout={int(busy_timeout * 1000)}")
             self._db.execute("PRAGMA synchronous=NORMAL")
         self._db.executescript(_SCHEMA_SQL)
@@ -231,8 +250,10 @@ class RunStore:
             "SELECT value FROM meta WHERE key = 'schema'"
         ).fetchone()
         if row is None:
+            # OR IGNORE: a sibling opening the same fresh store may have
+            # written the row since the SELECT.
             self._db.execute(
-                "INSERT INTO meta (key, value) VALUES ('schema', ?)",
+                "INSERT OR IGNORE INTO meta (key, value) VALUES ('schema', ?)",
                 (str(STORE_SCHEMA),),
             )
             self._db.commit()

@@ -60,17 +60,66 @@ _PHASE_SPANS = ("dlb", "force", "halo-comm", "integrate")
 
 
 class _ObservedRunner:
-    """Shared observability hooks of the two runners.
+    """What the two runners share: the balancer round and observability.
 
-    Everything here is a no-op unless an :class:`~repro.obs.Observability`
-    bundle was supplied: the disabled path is a single ``None`` check per
-    step, with no allocation.
+    :meth:`_rebalance` is the one balancer round both step loops run. The
+    observability hooks are no-ops unless an
+    :class:`~repro.obs.Observability` bundle was supplied: the disabled path
+    is a single ``None`` check per step, with no allocation.
     """
 
     observability: Observability | None
     trace_pid: int
     sim_time: float
     accountant: StepAccountant
+
+    def _init_balancer(self, requested: str | None, faults) -> None:
+        #: Resolved balancer strategy name; like the kernel, "auto"/env
+        #: resolution happens here, once, on the driver, so engine workers,
+        #: events, checkpoints and result metadata inherit a concrete name.
+        self.balancer_name = resolve_balancer_name(requested)
+        self.balancer = (
+            create_balancer(
+                self.assignment,
+                self.config.dlb,
+                injector=faults,
+                strategy=self.balancer_name,
+            )
+            if self.config.dlb.enabled
+            else None
+        )
+
+    @property
+    def dlb_enabled(self) -> bool:
+        """Whether this runner balances load (DLB-DDM) or not (plain DDM)."""
+        return self.balancer is not None
+
+    def _rebalance(self, counts: np.ndarray) -> list:
+        """One balancer round, when the interval gate opens at this step.
+
+        Decides and applies the moves from the previous step's times, logs
+        the decision and charges the migration cost; ``counts`` are the
+        per-cell particle counts the round weighs. Returns the moves.
+        """
+        if self.balancer is None or self.step_count == 0:
+            return []
+        if self.step_count % self.config.dlb.interval != 0:
+            return []
+        # The pre-round lent set must be captured before apply() mutates the
+        # holder map; the decision event records the round's exact inputs.
+        lent_before = self._lent_pairs() if self.events is not None else []
+        moves = self.balancer.step(
+            self._last_times, step=self.step_count, counts=counts
+        )
+        if self.events is not None:
+            self._emit_decision(
+                self.step_count, self._last_times, lent_before, moves,
+                counts=counts,
+            )
+        self.accountant.charge_moves(
+            moves, counts, self.assignment, step=self.step_count
+        )
+        return moves
 
     def _init_observability(
         self,
@@ -337,20 +386,7 @@ class ParallelMDRunner(_ObservedRunner):
             faults=faults,
             profiler=observability.profiler if observability is not None else None,
         )
-        #: Resolved balancer strategy name; like the kernel, "auto"/env
-        #: resolution happens here, once, on the driver, so engine workers,
-        #: events, checkpoints and result metadata inherit a concrete name.
-        self.balancer_name = resolve_balancer_name(run_config.balancer)
-        self.balancer = (
-            create_balancer(
-                self.assignment,
-                config.dlb,
-                injector=faults,
-                strategy=self.balancer_name,
-            )
-            if config.dlb.enabled
-            else None
-        )
+        self._init_balancer(run_config.balancer, faults)
 
         rng = generator(run_config.seed)
         self.system = system if system is not None else build_system(md, rng)
@@ -416,39 +452,13 @@ class ParallelMDRunner(_ObservedRunner):
         )
 
     @property
-    def dlb_enabled(self) -> bool:
-        """Whether this runner balances load (DLB-DDM) or not (plain DDM)."""
-        return self.balancer is not None
-
-    @property
     def neighbor_stats(self):
         """Pair-search counters (Verlet rebuilds/reuses, candidate ratios)."""
         return self.force_field.stats
 
-    def _maybe_rebalance(self) -> list:
-        if self.balancer is None or self.step_count == 0:
-            return []
-        if self.step_count % self.config.dlb.interval != 0:
-            return []
-        # The pre-round lent set must be captured before apply() mutates the
-        # holder map; the decision event records the round's exact inputs.
-        lent_before = self._lent_pairs() if self.events is not None else []
-        moves = self.balancer.step(
-            self._last_times, step=self.step_count, counts=self._last_counts
-        )
-        if self.events is not None:
-            self._emit_decision(
-                self.step_count, self._last_times, lent_before, moves,
-                counts=self._last_counts,
-            )
-        self.accountant.charge_moves(
-            moves, self._last_counts, self.assignment, step=self.step_count
-        )
-        return moves
-
     def step(self) -> StepRecord:
         """One full step: redistribution, physics, accounting."""
-        moves = self._maybe_rebalance()
+        moves = self._rebalance(self._last_counts)
 
         force_result = self.integrator.step(self.system, self.force_field)
         self.step_count += 1
@@ -646,17 +656,7 @@ class DrivenLoadRunner(_ObservedRunner):
         self.auditor = auditor
         self.cell_list = CellList(config.md.box_length, dec.cells_per_side)
         self.assignment = CellAssignment(dec.cells_per_side, dec.n_pes)
-        self.balancer_name = resolve_balancer_name(balancer)
-        self.balancer = (
-            create_balancer(
-                self.assignment,
-                config.dlb,
-                injector=faults,
-                strategy=self.balancer_name,
-            )
-            if config.dlb.enabled
-            else None
-        )
+        self._init_balancer(balancer, faults)
         self.accountant = StepAccountant(
             config.machine,
             self.cell_list,
@@ -673,11 +673,6 @@ class DrivenLoadRunner(_ObservedRunner):
         self._init_observability(
             observability, trace_pid, config.dlb.enabled, dec.n_pes, "driven_load"
         )
-
-    @property
-    def dlb_enabled(self) -> bool:
-        """Whether the balancer is active."""
-        return self.balancer is not None
 
     def run(
         self,
@@ -703,26 +698,11 @@ class DrivenLoadRunner(_ObservedRunner):
             n_moves = 0
             timing = None
             for _ in range(self.rounds_per_config):
-                moves: list = []
-                if (
-                    self.balancer is not None
-                    and self.step_count > 0
-                    and self.step_count % self.config.dlb.interval == 0
-                ):
-                    lent_before = self._lent_pairs() if self.events is not None else []
-                    base = self._last_counts if self._last_counts is not None else counts
-                    moves = self.balancer.step(
-                        self._last_times, step=self.step_count, counts=base
-                    )
-                    if self.events is not None:
-                        self._emit_decision(
-                            self.step_count, self._last_times, lent_before, moves,
-                            counts=base,
-                        )
-                    self.accountant.charge_moves(
-                        moves, base, self.assignment, step=self.step_count
-                    )
-                    n_moves += len(moves)
+                # No previous configuration yet: weigh the current one.
+                moves = self._rebalance(
+                    self._last_counts if self._last_counts is not None else counts
+                )
+                n_moves += len(moves)
                 self.step_count += 1
                 timing, totals = self.accountant.account_step(
                     self.step_count, counts, self.assignment, self.dlb_enabled

@@ -1,19 +1,18 @@
 """The dynamic load balancer: protocol + policy + bookkeeping.
 
-Since the strategy seam landed, this class is a *shell*: it owns the
-assignment, the policy config, the bounded-staleness timing view and the
-stats counters, and delegates the per-round decision to a pluggable
-:class:`~repro.dlb.strategies.Balancer` strategy. Build instances through
-:func:`repro.dlb.strategies.create_balancer` (or the ``balancer=`` knobs on
-:func:`repro.api.simulate` / ``RunConfig``); constructing this class
-directly is deprecated and hard-defaults to the ``permanent`` strategy so
-legacy call sites keep the paper's exact behaviour regardless of the
-``REPRO_BALANCER`` environment.
+This class is a *shell*: it owns the assignment, the policy config, the
+bounded-staleness timing view and the stats counters, and hands each round
+to a :class:`~repro.dlb.strategies.Balancer` strategy instance. The
+strategy's per-rank rule is the only decision code: this shell's
+centralised round, the SPMD protocol (:mod:`repro.dlb.spmd_protocol`) and
+``repro explain`` (:mod:`repro.dlb.explain`) all run it. Build instances
+through :func:`repro.dlb.strategies.create_balancer`, the one place
+strategy names are resolved (or the ``balancer=`` knobs on
+:func:`repro.api.simulate` / ``RunConfig``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ from ..errors import ConfigurationError
 from ..obs.profiler import scope
 from ..parallel.topology import Torus2D
 from .protocol import Case, Move
-from .strategies import Balancer, DecisionView, PermanentCellsBalancer, create_strategy
+from .strategies import Balancer, DecisionView
 from .views import TimingView
 
 
@@ -67,18 +66,14 @@ class DynamicLoadBalancer:
     def __init__(
         self,
         assignment: CellAssignment,
+        strategy: Balancer,
         config: DLBConfig | None = None,
         injector=None,
-        strategy: "Balancer | str | None" = None,
-        _from_factory: bool = False,
     ) -> None:
-        if not _from_factory:
-            warnings.warn(
-                "constructing DynamicLoadBalancer directly is deprecated; use "
-                "repro.dlb.create_balancer(...), which resolves the strategy "
-                "registry (config > REPRO_BALANCER > permanent)",
-                DeprecationWarning,
-                stacklevel=2,
+        if not isinstance(strategy, Balancer):
+            raise ConfigurationError(
+                f"strategy must be a Balancer instance, got {strategy!r}; "
+                "build balancers by name with repro.dlb.create_balancer"
             )
         if assignment.pe_side < 3:
             raise ConfigurationError(
@@ -89,14 +84,7 @@ class DynamicLoadBalancer:
         self.config = config or DLBConfig()
         self.topology = Torus2D(assignment.pe_side)
         self.stats = BalancerStats()
-        # Direct construction hard-defaults to the paper's protocol -- NOT the
-        # environment -- so legacy call sites stay permanent-cells under any
-        # REPRO_BALANCER value. Env resolution happens in create_balancer.
-        if strategy is None:
-            strategy = PermanentCellsBalancer()
-        elif isinstance(strategy, str):
-            strategy = create_strategy(strategy)
-        self.strategy: Balancer = strategy
+        self.strategy = strategy
         # Fault injection is strictly opt-in: with no injector the decision
         # path below is byte-for-byte the original (perf gate relies on it).
         self.injector = injector

@@ -3,10 +3,17 @@
 A ``dlb.decision`` event records the round's complete inputs: the per-PE
 times the balancer consumed, the pre-round lent-cell set (enough to rebuild
 the holder map), and — under fault injection — the post-refresh
-:class:`~repro.dlb.views.TimingView` matrices. The decision logic itself
-(:func:`~repro.dlb.protocol.decide_move` plus the policy gate) is pure, so
-the round can be replayed bit-exactly long after the run finished, and the
-replay cross-checked against the moves the log says were made.
+:class:`~repro.dlb.views.TimingView` matrices. The decision logic is pure,
+so the round can be replayed bit-exactly long after the run finished, and
+the replay cross-checked against the moves the log says were made.
+
+The replay runs the run's own strategy code: a per-rank strategy is
+replayed PE by PE through its
+:meth:`~repro.dlb.strategies.Balancer.decide_for_rank` -- the rule the
+centralised balancer and the SPMD protocol also run -- and a global one
+(``sfc``) through its ``decide``. The narrative reads the same
+:class:`~repro.dlb.strategies.DecisionView` (fastest-neighbour belief,
+policy gate) to say why each PE did or did not move.
 
 ``repro explain <events.jsonl> --step K`` renders the replay as a
 human-readable "why cells moved" narrative.
@@ -22,8 +29,8 @@ from ..config import DLBConfig
 from ..decomp.assignment import CellAssignment
 from ..errors import AnalysisError
 from ..parallel.topology import Torus2D
-from .protocol import decide_move
-from .strategies import DecisionView, available, create_strategy
+from .protocol import Case, Move
+from .strategies import Balancer, DecisionView, NoBalancer, available, create_strategy
 from .views import TimingView
 
 __all__ = [
@@ -41,17 +48,6 @@ def find_run_start(records: list[dict]) -> dict:
         if record.get("kind") == "run.start":
             return record
     raise AnalysisError("event log has no run.start record")
-
-
-def _wants_rebalance(
-    policy: str, threshold: float, my_time: float, fast_time: float
-) -> bool:
-    """The policy gate, mirroring ``DynamicLoadBalancer._wants_rebalance``."""
-    if policy == "fastest":
-        return True
-    if fast_time <= 0:
-        return my_time > 0
-    return (my_time - fast_time) / fast_time > threshold
 
 
 @dataclass
@@ -75,10 +71,8 @@ def replay_decision(run_start: dict, event: dict) -> ReplayedDecision:
     Rebuilds the pre-round assignment from the event's lent set, the timing
     view from its logged matrices (when present), and dispatches on the
     ``balancer`` strategy the ``run.start`` record names (logs predating
-    the strategy seam replay as ``permanent``). The paper's protocol gets
-    the detailed per-PE narrative; rival strategies replay through their
-    registered :class:`~repro.dlb.strategies.Balancer` implementation. A
-    log recorded by a strategy this build does not know raises
+    the strategy seam replay as ``permanent``). Per-rank strategies get the
+    per-PE narrative; ``sfc`` gets one line per move. A log recorded by a strategy this build does not know raises
     :class:`~repro.errors.AnalysisError` instead of reporting a spurious
     divergence.
     """
@@ -108,94 +102,12 @@ def replay_decision(run_start: dict, event: dict) -> ReplayedDecision:
         view = TimingView(n_pes, int(view_state["max_staleness"]))
         view.times[...] = np.asarray(view_state["times"], dtype=np.float64)
         view.age[...] = np.asarray(view_state["age"], dtype=np.int64)
-    policy = dlb.get("policy", "fastest")
-    threshold = float(dlb.get("threshold", 0.0))
-    max_sends = int(dlb.get("max_sends_per_step", 1))
-
-    if balancer_name != "permanent":
-        return _replay_strategy(
-            balancer_name, event, assignment, topology, times, view,
-            DLBConfig(policy=policy, threshold=threshold, max_sends_per_step=max_sends),
-        )
-
-    replayed: list[dict] = []
-    narrative: list[str] = []
-    committed: dict[int, set[int]] = {}
-    for pe in range(n_pes):
-        if view is not None:
-            fastest = int(view.fastest_known(pe, times, topology))
-            believed = view.effective(pe, fastest)
-            assert believed is not None  # fastest_known only picks usable views
-            fast_time = believed
-        else:
-            neighborhood = topology.neighborhood(pe)
-            fastest = int(neighborhood[int(np.argmin(times[neighborhood]))])
-            fast_time = float(times[fastest])
-        my_time = float(times[pe])
-        if fastest == pe:
-            continue
-        if not _wants_rebalance(policy, threshold, my_time, fast_time):
-            narrative.append(
-                f"PE {pe} ({my_time:.4g} s) saw fastest neighbour PE {fastest} "
-                f"({fast_time:.4g} s) but stayed under the {threshold:g} "
-                f"imbalance threshold — no move"
-            )
-            continue
-        exclude = committed.setdefault(pe, set())
-        sent = 0
-        for _ in range(max_sends):
-            move = decide_move(assignment, topology, pe, fastest, exclude)
-            if move is None:
-                break
-            exclude.add(move.cell)
-            replayed.append(
-                {
-                    "cell": int(move.cell),
-                    "src": int(move.src),
-                    "dst": int(move.dst),
-                    "case": move.kind.value,
-                }
-            )
-            verb = "lent" if move.kind.value == "send_own" else "returned"
-            narrative.append(
-                f"PE {pe} ({my_time:.4g} s) {verb} cell {int(move.cell)} to "
-                f"PE {fastest} ({fast_time:.4g} s"
-                + (", last-known report" if view is not None else "")
-                + ")"
-            )
-            sent += 1
-        if sent == 0:
-            narrative.append(
-                f"PE {pe} ({my_time:.4g} s) wanted to offload toward fastest "
-                f"PE {fastest} ({fast_time:.4g} s) but had no eligible cell "
-                f"(permanent wall or nothing left to lend/return)"
-            )
-    return ReplayedDecision(
-        step=int(event["step"]),
-        replayed_moves=replayed,
-        logged_moves=list(event.get("moves") or []),
-        narrative=narrative,
+    config = DLBConfig(
+        policy=dlb.get("policy", "fastest"),
+        threshold=float(dlb.get("threshold", 0.0)),
+        max_sends_per_step=int(dlb.get("max_sends_per_step", 1)),
     )
-
-
-def _replay_strategy(
-    balancer_name: str,
-    event: dict,
-    assignment: CellAssignment,
-    topology: Torus2D,
-    times: np.ndarray,
-    view: "TimingView | None",
-    config: DLBConfig,
-) -> ReplayedDecision:
-    """Replay a non-permanent round through its registered strategy.
-
-    The decision event carries every input the strategy consumed: times,
-    the lent set (already folded into ``assignment``), the timing view, and
-    -- for count-weighted strategies like ``sfc`` -- the per-cell particle
-    counts.
-    """
     counts = event.get("counts")
-    strategy = create_strategy(balancer_name)
     decision_view = DecisionView(
         times=times,
         assignment=assignment,
@@ -204,34 +116,87 @@ def _replay_strategy(
         timing=view,
         counts=np.asarray(counts, dtype=np.int64) if counts is not None else None,
     )
-    replayed: list[dict] = []
-    narrative: list[str] = []
-    if balancer_name == "none":
-        narrative.append(
-            "balancer 'none': redistribution disabled by construction — "
-            "no moves to replay"
-        )
-    for move in strategy.decide(decision_view, int(event["step"])):
-        replayed.append(
+    strategy = create_strategy(balancer_name)
+    if strategy.per_rank:
+        replayed, narrative = _replay_ranks(strategy, decision_view)
+    else:
+        replayed = strategy.decide(decision_view, int(event["step"]))
+        narrative = [
+            f"PE {move.src} ({float(times[move.src]):.4g} s) {_verb(move)} cell "
+            f"{int(move.cell)} to PE {move.dst} "
+            f"({float(times[move.dst]):.4g} s) [{balancer_name}]"
+            for move in replayed
+        ]
+    return ReplayedDecision(
+        step=int(event["step"]),
+        replayed_moves=[
             {
                 "cell": int(move.cell),
                 "src": int(move.src),
                 "dst": int(move.dst),
                 "case": move.kind.value,
             }
-        )
-        verb = "lent" if move.kind.value == "send_own" else "returned"
-        narrative.append(
-            f"PE {move.src} ({float(times[move.src]):.4g} s) {verb} cell "
-            f"{int(move.cell)} to PE {move.dst} "
-            f"({float(times[move.dst]):.4g} s) [{balancer_name}]"
-        )
-    return ReplayedDecision(
-        step=int(event["step"]),
-        replayed_moves=replayed,
+            for move in replayed
+        ],
         logged_moves=list(event.get("moves") or []),
         narrative=narrative,
     )
+
+
+def _verb(move: Move) -> str:
+    return "lent" if move.kind is Case.SEND_OWN else "returned"
+
+
+def _replay_ranks(
+    strategy: Balancer, view: DecisionView
+) -> tuple[list[Move], list[str]]:
+    """Replay a per-rank strategy PE by PE, narrating each PE's choice.
+
+    The moves come only from the strategy's own per-rank rule -- the code
+    the run executed; the narrative reads the same view's fastest-neighbour
+    belief and policy gate to say why a PE did or did not move.
+    """
+    if isinstance(strategy, NoBalancer):
+        return [], [
+            "balancer 'none': redistribution disabled by construction — "
+            "no moves to replay"
+        ]
+    tag = "" if strategy.name == "permanent" else f" [{strategy.name}]"
+    stale = ", last-known report" if view.timing is not None else ""
+    threshold = view.config.threshold
+    replayed: list[Move] = []
+    narrative: list[str] = []
+    for pe in range(view.assignment.n_pes):
+        moves = strategy.decide_for_rank(view, pe)
+        replayed.extend(moves)
+        fastest, fast_time = view.fastest_for(pe)
+        if fastest == pe:
+            continue
+        my_time = float(view.times[pe])
+        if not view.wants_rebalance(my_time, fast_time):
+            narrative.append(
+                f"PE {pe} ({my_time:.4g} s) saw fastest neighbour PE {fastest} "
+                f"({fast_time:.4g} s) but stayed under the {threshold:g} "
+                f"imbalance threshold — no move{tag}"
+            )
+            continue
+        for move in moves:
+            narrative.append(
+                f"PE {pe} ({my_time:.4g} s) {_verb(move)} cell {int(move.cell)} "
+                f"to PE {fastest} ({fast_time:.4g} s{stale}){tag}"
+            )
+        if not moves:
+            why = (
+                "had no eligible cell (permanent wall or nothing left to "
+                "lend/return)"
+                if strategy.constrained
+                else "its rule moved no cell"
+            )
+            narrative.append(
+                f"PE {pe} ({my_time:.4g} s) wanted to offload toward fastest "
+                f"PE {fastest} ({fast_time:.4g} s) but {why}{tag}"
+            )
+    return replayed, narrative
 
 
 def explain_events(

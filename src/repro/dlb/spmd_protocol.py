@@ -3,10 +3,14 @@
 The paper's protocol is a distributed algorithm: step 1 sends each PE's
 execution time to its 8 neighbours, steps 2-3 decide locally, step 4
 broadcasts the new assignment. :class:`repro.dlb.balancer.DynamicLoadBalancer`
-computes the same decisions centrally for speed; this module implements the
-message-passing version on the BSP :class:`~repro.parallel.spmd.SPMDExecutor`
--- and a test asserts the two produce *identical* move lists, which is the
-strongest evidence that the centralised shortcut is faithful.
+computes the same decisions centrally for speed; this module runs the
+message-passing version on the BSP :class:`~repro.parallel.spmd.SPMDExecutor`.
+
+Both run the same decision code: the strategy's per-rank rule
+(:meth:`~repro.dlb.strategies.Balancer.decide_for_rank`), which here sees
+only the times its rank received. Tests assert the two produce *identical*
+move lists, which is the evidence that the centralised shortcut is faithful
+to the local protocol.
 """
 
 from __future__ import annotations
@@ -18,32 +22,26 @@ from ..decomp.assignment import CellAssignment
 from ..errors import ConfigurationError
 from ..parallel.spmd import SPMDExecutor
 from ..parallel.topology import Torus2D
-from .protocol import Move, decide_move
-from .strategies import DecisionView, DiffusionBalancer
+from .protocol import Move
+from .strategies import DecisionView, create_strategy
 from .views import TimingView
-
-#: Strategies with a distributed formulation. ``sfc`` is global by
-#: construction (it re-cuts a curve over *every* cell's weight), so it has
-#: no SPMD equivalent and :func:`spmd_decide` rejects it with a clear error.
-SPMD_STRATEGIES = ("permanent", "diffusion", "none")
 
 
 def spmd_decide(
     assignment: CellAssignment,
     per_pe_times: np.ndarray,
-    max_sends_per_step: int = 1,
     injector=None,
     step: int = 0,
     view: "TimingView | None" = None,
     strategy: str = "permanent",
-    config: "DLBConfig | None" = None,
+    config: DLBConfig = DLBConfig(),
 ) -> list[Move]:
     """One distributed decision round; returns the moves in PE order.
 
     Superstep 1: every rank posts its last-step time to its 8 neighbours.
-    Superstep 2: every rank reads its inbox, finds the fastest PE among
-    itself and the senders (ties broken in the fixed neighbourhood order,
-    exactly as the centralised balancer does), and runs the case analysis.
+    Superstep 2: every rank reads its inbox into a :class:`DecisionView` of
+    what it knows -- its own time and the times it received -- and runs the
+    strategy's per-rank rule on it.
 
     With an ``injector``, the broadcast goes through the executor's fault
     hook: a dropped report simply never appears in the receiver's inbox, and
@@ -53,12 +51,9 @@ def spmd_decide(
     exact query the centralised balancer makes -- so the two implementations
     observe identical drop patterns and stay move-for-move equivalent.
 
-    ``strategy`` selects among the distributed-capable strategies
-    (:data:`SPMD_STRATEGIES`): ``permanent`` runs the paper's case analysis,
-    ``diffusion`` runs the same per-rank flux rule as the centralised
-    balancer (each rank only sheds cells it holds, so the formulations are
-    identical), ``none`` broadcasts times but never moves. ``sfc`` raises
-    :class:`~repro.errors.ConfigurationError` -- use a centralised engine.
+    ``strategy`` names any registered strategy with a per-rank rule; a
+    global one (``sfc``) raises :class:`~repro.errors.ConfigurationError`.
+    ``config`` carries the policy gate and ``max_sends_per_step``.
     """
     times = np.asarray(per_pe_times, dtype=np.float64)
     n_pes = assignment.n_pes
@@ -66,14 +61,12 @@ def spmd_decide(
         raise ConfigurationError(f"times shape {times.shape} != ({n_pes},)")
     if assignment.pe_side < 3:
         raise ConfigurationError("SPMD protocol needs a torus side of at least 3")
-    if strategy not in SPMD_STRATEGIES:
+    rule = create_strategy(strategy)
+    if not rule.per_rank:
         raise ConfigurationError(
-            f"balancer {strategy!r} has no distributed formulation; the SPMD "
-            f"decide path supports {SPMD_STRATEGIES} -- run 'sfc' on a "
-            "centralised engine instead"
+            f"balancer {strategy!r} has no distributed formulation (it is "
+            "global, with no per-rank rule) -- run it on a centralised engine"
         )
-    if config is None:
-        config = DLBConfig(max_sends_per_step=max_sends_per_step)
 
     topology = Torus2D(assignment.pe_side)
     fault_hook = None
@@ -93,18 +86,13 @@ def spmd_decide(
     executor.superstep(broadcast_times)
 
     moves: list[Move] = []
-    diffusion = DiffusionBalancer() if strategy == "diffusion" else None
-    decision_view = DecisionView(
-        times=times,
-        assignment=assignment,
-        topology=topology,
-        config=config,
-        timing=view,
-    )
 
     def decide(rank: int, ex: SPMDExecutor) -> None:
-        received = {src: t for src, t in ex.inbox(rank)}
-        received[rank] = float(times[rank])
+        received = dict(ex.inbox(rank))
+        known = np.full(n_pes, np.inf)
+        known[rank] = times[rank]
+        for src, value in received.items():
+            known[src] = value
         if view is not None:
             # Fold this round's inbox into the rank's persistent view:
             # delivered reports refresh it, holes age the last-known value.
@@ -114,35 +102,14 @@ def spmd_decide(
                     view.observe(rank, neighbor, received[neighbor])
                 else:
                     view.miss(rank, neighbor)
-        if strategy == "none":
-            return
-        if diffusion is not None:
-            # The diffusion rule is already per-rank (a rank only sheds
-            # cells it holds), so the centralised helper *is* the SPMD one;
-            # its view-aware fastest_for reads the state folded above.
-            moves.extend(diffusion.decide_for_rank(decision_view, rank))
-            return
-        if view is not None:
-            fastest = view.fastest_known(rank, times, topology)
-        else:
-            # Fixed neighbourhood order = deterministic tie-breaking,
-            # identical to the centralised balancer's argmin over the same
-            # ordering.
-            fastest = rank
-            best = received[rank]
-            for peer in topology.neighborhood(rank)[1:]:
-                if received[peer] < best:
-                    best = received[peer]
-                    fastest = peer
-        if fastest == rank:
-            return
-        exclude: set[int] = set()
-        for _ in range(config.max_sends_per_step):
-            move = decide_move(assignment, topology, rank, fastest, exclude)
-            if move is None:
-                break
-            exclude.add(move.cell)
-            moves.append(move)
+        rank_view = DecisionView(
+            times=known,
+            assignment=assignment,
+            topology=topology,
+            config=config,
+            timing=view,
+        )
+        moves.extend(rule.decide_for_rank(rank_view, rank))
 
     executor.superstep(decide)
     return moves

@@ -6,13 +6,16 @@ strategy names to classes, the driver resolves a concrete name once
 downstream -- runner, engine workers, flight recorder, ``repro explain`` --
 carries that resolved name.
 
-Four strategies ship:
+Every strategy except ``sfc`` is a *per-rank rule*
+(:meth:`Balancer.decide_for_rank`): the centralised balancer, the SPMD
+protocol and ``repro explain`` all run that one method, so the three
+cannot drift apart. Four strategies ship:
 
 ``permanent``
-    The paper's permanent-cell protocol (the default). The decision loop
-    here is the exact code previously inlined in
-    :class:`~repro.dlb.balancer.DynamicLoadBalancer.decide`; tier-1 tests
-    assert move-for-move identity and run-digest identity through the seam.
+    The paper's permanent-cell protocol (the default). Its per-rank rule is
+    the pre-seam decision loop of ``DynamicLoadBalancer.decide`` cut at the
+    PE boundary; tier-1 tests assert move-for-move identity against a byte
+    copy of that loop and run-digest identity through the seam.
 ``diffusion``
     Nearest-neighbour load diffusion (Demirel & Sbalzarini): every
     overloaded PE pushes cells toward its fastest neighbour, with the number
@@ -76,12 +79,15 @@ def resolve_balancer_name(requested: str | None) -> str:
 
 @dataclass
 class DecisionView:
-    """Everything one decision round may read, bundled for ``decide()``.
+    """Everything one decision round may read, bundled for the strategy.
 
-    ``timing`` is the bounded-staleness :class:`TimingView` (present exactly
-    when fault injection is active); ``counts`` are per-cell particle counts
-    (present when the runner has them -- strategies with ``needs_counts``
-    degrade to uniform weights when they are missing).
+    ``times`` are the per-PE last-step times the deciding PEs know; in the
+    SPMD protocol each rank gets its own copy holding only what it received
+    (its own time and its neighbours'; the rest are ``inf``). ``timing`` is
+    the bounded-staleness :class:`TimingView` (present exactly when fault
+    injection is active); ``counts`` are per-cell particle counts (present
+    when the runner has them -- strategies with ``needs_counts`` degrade to
+    uniform weights when they are missing).
     """
 
     times: np.ndarray
@@ -122,11 +128,19 @@ class DecisionView:
 class Balancer:
     """Contract shared by all balancer strategies.
 
-    Subclasses implement :meth:`decide` -- one redistribution round, reading
-    a :class:`DecisionView` and returning the :class:`Move` list *without*
-    mutating the assignment. Strategies with internal state participate in
-    checkpointing through :meth:`state_dict` / :meth:`load_state`; all four
-    built-ins are stateless.
+    A strategy is a *per-rank rule*: :meth:`decide_for_rank` is one PE's
+    decision, reading a :class:`DecisionView` and returning the
+    :class:`Move` list that PE makes *without* mutating the assignment. Each
+    PE moves only cells it holds, so the rules of different ranks never
+    conflict and :meth:`decide` -- the centralised round -- is their moves
+    joined in PE order. The SPMD protocol
+    (:func:`~repro.dlb.spmd_protocol.spmd_decide`) and ``repro explain``
+    call the same rule rank by rank. A *global* strategy (``sfc``) has no
+    per-rank rule and overrides :meth:`decide` instead.
+
+    Strategies with internal state participate in checkpointing through
+    :meth:`state_dict` / :meth:`load_state`; all four built-ins are
+    stateless.
     """
 
     #: Registry key; subclasses override.
@@ -139,9 +153,21 @@ class Balancer:
     #: True when :meth:`decide` wants per-cell particle counts in the view.
     needs_counts = False
 
-    def decide(self, view: DecisionView, step: int = 0) -> list[Move]:
-        """Run one decision round; must not mutate ``view.assignment``."""
+    @property
+    def per_rank(self) -> bool:
+        """Whether the strategy decides rank by rank (has an SPMD form)."""
+        return type(self).decide_for_rank is not Balancer.decide_for_rank
+
+    def decide_for_rank(self, view: DecisionView, pe: int) -> list[Move]:
+        """One PE's moves; must not mutate ``view.assignment``."""
         raise NotImplementedError
+
+    def decide(self, view: DecisionView, step: int = 0) -> list[Move]:
+        """Run one decision round: every rank's moves, in PE order."""
+        moves: list[Move] = []
+        for pe in range(view.assignment.n_pes):
+            moves.extend(self.decide_for_rank(view, pe))
+        return moves
 
     def state_dict(self) -> dict:
         """Checkpoint snapshot of strategy-internal state."""
@@ -157,30 +183,26 @@ class PermanentCellsBalancer(Balancer):
     Per PE: find the fastest of the 8-neighbourhood (bounded-staleness view
     under faults), gate on the policy, then run the offset case analysis
     (:func:`repro.dlb.protocol.decide_move`) up to ``max_sends_per_step``
-    times with already-committed cells excluded.
+    times with the cells already chosen this round excluded.
     """
 
     name = "permanent"
     constrained = True
 
-    def decide(self, view: DecisionView, step: int = 0) -> list[Move]:
+    def decide_for_rank(self, view: DecisionView, pe: int) -> list[Move]:
+        fastest, fast_time = view.fastest_for(pe)
+        if fastest == pe:
+            return []
+        if not view.wants_rebalance(float(view.times[pe]), fast_time):
+            return []
         moves: list[Move] = []
-        committed: dict[int, set[int]] = {}
-        for pe in range(view.assignment.n_pes):
-            fastest, fast_time = view.fastest_for(pe)
-            if fastest == pe:
-                continue
-            if not view.wants_rebalance(float(view.times[pe]), fast_time):
-                continue
-            exclude = committed.setdefault(pe, set())
-            for _ in range(view.config.max_sends_per_step):
-                move = decide_move(
-                    view.assignment, view.topology, pe, fastest, exclude
-                )
-                if move is None:
-                    break
-                exclude.add(move.cell)
-                moves.append(move)
+        exclude: set[int] = set()
+        for _ in range(view.config.max_sends_per_step):
+            move = decide_move(view.assignment, view.topology, pe, fastest, exclude)
+            if move is None:
+                break
+            exclude.add(move.cell)
+            moves.append(move)
         return moves
 
 
@@ -219,15 +241,7 @@ class DiffusionBalancer(Balancer):
     name = "diffusion"
     constrained = False
 
-    def decide(self, view: DecisionView, step: int = 0) -> list[Move]:
-        moves: list[Move] = []
-        for pe in range(view.assignment.n_pes):
-            moves.extend(self.decide_for_rank(view, pe))
-        return moves
-
     def decide_for_rank(self, view: DecisionView, pe: int) -> list[Move]:
-        """One rank's decision -- PEs act only on cells they hold, so the
-        SPMD path calls this per rank and matches the centralised result."""
         fastest, fast_time = view.fastest_for(pe)
         if fastest == pe:
             return []
@@ -282,8 +296,9 @@ class SFCBalancer(Balancer):
     per round -- the partition converges to the SFC cut over a few steps
     instead of migrating half the box at once.
 
-    Global by construction (needs every cell's weight), hence
-    centralised-only: the SPMD decide path rejects it.
+    Global by construction (needs every cell's weight), so it has no
+    per-rank rule and overrides :meth:`Balancer.decide`; the SPMD decide
+    path rejects it.
     """
 
     name = "sfc"
@@ -352,7 +367,7 @@ class NoBalancer(Balancer):
     name = "none"
     constrained = True  # vacuously: no move ever violates an invariant
 
-    def decide(self, view: DecisionView, step: int = 0) -> list[Move]:
+    def decide_for_rank(self, view: DecisionView, pe: int) -> list[Move]:
         return []
 
 
@@ -397,14 +412,10 @@ def create_balancer(
     strategy: str | None = None,
 ):
     """Build a :class:`~repro.dlb.balancer.DynamicLoadBalancer` around the
-    resolved strategy -- the supported construction path (direct
-    ``DynamicLoadBalancer(...)`` construction is deprecated)."""
+    strategy named ``strategy`` -- the one place balancer names are resolved
+    (argument > ``REPRO_BALANCER`` > ``permanent``)."""
     from .balancer import DynamicLoadBalancer
 
     return DynamicLoadBalancer(
-        assignment,
-        config,
-        injector=injector,
-        strategy=create_strategy(strategy),
-        _from_factory=True,
+        assignment, create_strategy(strategy), config, injector=injector
     )

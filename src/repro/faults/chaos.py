@@ -208,10 +208,16 @@ class Fleet:
         ]
 
     def start(self) -> "Fleet":
-        for server in self.servers:
-            server.start()
-        for server in self.servers:
-            server.wait_ready()
+        try:
+            for server in self.servers:
+                server.start()
+            for server in self.servers:
+                server.wait_ready()
+        except BaseException:
+            # ``with Fleet(...)`` never reaches __exit__ when __enter__
+            # raises: stop the members that did start, or they outlive us.
+            self.stop()
+            raise
         return self
 
     def stop(self) -> None:

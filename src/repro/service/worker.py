@@ -38,6 +38,9 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import os
+import threading
+import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from typing import Awaitable, Callable
@@ -58,6 +61,28 @@ log = logging.getLogger("repro.service")
 #: the pool checkpoints (``checkpoint_dir`` set), the runner is called with
 #: two extra positional arguments ``(checkpoint_dir, checkpoint_every)``.
 Runner = Callable[[dict, float | None, str | None], dict]
+
+#: How often a pool child checks that the server that started it is alive.
+PARENT_POLL_S = 0.2
+
+
+def _exit_with_parent(parent_pid: int, poll_s: float = PARENT_POLL_S) -> None:
+    """Pool-child initializer: exit as soon as the parent server is gone.
+
+    A SIGKILLed server cannot shut its process pool down, so a child
+    running a simulation would carry on, orphaned: it keeps writing (and
+    pruning) snapshots in the run's checkpoint directory while the sibling
+    that reclaimed the lease resumes from it, then blocks on the dead
+    server's call queue forever.  A daemon thread watches the parent pid
+    and ends the child once it changes (the child was re-parented).
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(poll_s)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
 
 
 class WorkerPool:
@@ -245,7 +270,11 @@ class WorkerPool:
             call = self.runner
         else:
             if self._executor is None:
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    initializer=_exit_with_parent,
+                    initargs=(os.getpid(),),
+                )
             call = _pool_worker
         args = [spec.to_dict(), self.run_timeout, self._events_path(item)]
         checkpoint_dir = self._run_checkpoint_dir(item.run_hash)

@@ -1,9 +1,11 @@
 """The persistent run store: lifecycle, exactly-once, resume semantics."""
 
+import sqlite3
+
 import pytest
 
 from repro.campaign import RunSpec, RunStore, canonical_payload
-from repro.campaign.store import DB_NAME, STORE_SCHEMA
+from repro.campaign.store import DB_NAME, STORE_SCHEMA, _enable_wal
 from repro.core.results import RESULT_SCHEMA_VERSION
 from repro.errors import CampaignError
 
@@ -205,3 +207,67 @@ class TestConcurrentClaim:
             with RunStore(tmp_path, takeover=False) as b:
                 winners = [a.claim(h), b.claim(h)]
                 assert sorted(winners) == [False, True]
+
+
+class _LockedConnection:
+    """Fails the first ``failures`` statements with ``error``."""
+
+    def __init__(self, failures, error="database is locked"):
+        self.failures = failures
+        self.error = error
+        self.calls = 0
+
+    def execute(self, sql):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise sqlite3.OperationalError(self.error)
+
+
+class TestConcurrentOpen:
+    """Sibling processes opening one fresh store at once both succeed."""
+
+    def test_wal_switch_retries_while_locked(self):
+        db = _LockedConnection(failures=2)
+        _enable_wal(db, busy_timeout=5.0)
+        assert db.calls == 3
+
+    def test_wal_switch_gives_up_after_the_busy_timeout(self):
+        db = _LockedConnection(failures=10**9)
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            _enable_wal(db, busy_timeout=0.2)
+
+    def test_other_errors_are_not_retried(self):
+        db = _LockedConnection(failures=1, error="disk I/O error")
+        with pytest.raises(sqlite3.OperationalError, match="disk"):
+            _enable_wal(db, busy_timeout=5.0)
+        assert db.calls == 1
+
+    def test_schema_row_written_by_a_sibling_is_kept(self, tmp_path, monkeypatch):
+        """A sibling writes the schema row between this opener's SELECT and
+        INSERT; the open must keep that row, not fail on the key."""
+        path = tmp_path / DB_NAME
+
+        class SiblingWinsTheRace(sqlite3.Connection):
+            def execute(self, sql, *args):
+                if sql.startswith("SELECT value FROM meta"):
+                    sibling = sqlite3.connect(path)
+                    sibling.execute(
+                        "INSERT INTO meta (key, value) VALUES ('schema', ?)",
+                        (str(STORE_SCHEMA),),
+                    )
+                    sibling.commit()
+                    sibling.close()
+                    return super().execute("SELECT NULL WHERE 0")
+                return super().execute(sql, *args)
+
+        connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3,
+            "connect",
+            lambda *a, **kw: connect(*a, factory=SiblingWinsTheRace, **kw),
+        )
+        RunStore(tmp_path).close()
+        monkeypatch.undo()
+        with RunStore(tmp_path) as store:
+            rows = store._db.execute("SELECT value FROM meta").fetchall()
+        assert rows == [(str(STORE_SCHEMA),)]

@@ -13,15 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.decomp.assignment import CellAssignment
-from repro.dlb.balancer import DynamicLoadBalancer
 from repro.dlb.limits import dlb_limit_ratio, max_domain_cells
+from repro.dlb.strategies import create_balancer
 
 
 @pytest.mark.parametrize("nc,n_pes,m", [(6, 9, 2), (9, 9, 3), (12, 9, 4)])
 def test_flooding_one_pe_saturates_at_max_domain(nc, n_pes, m):
     """Make one PE permanently fastest: it accumulates exactly C' cells."""
     assignment = CellAssignment(nc, n_pes)
-    balancer = DynamicLoadBalancer(assignment)
+    balancer = create_balancer(assignment, strategy="permanent")
     target = 4  # centre PE
     times = np.ones(n_pes)
     times[target] = 0.0
@@ -37,7 +37,7 @@ def test_flooding_one_pe_saturates_at_max_domain(nc, n_pes, m):
 def test_no_pe_exceeds_max_domain_under_random_pressure(seed):
     nc, n_pes, m = 9, 9, 3
     assignment = CellAssignment(nc, n_pes)
-    balancer = DynamicLoadBalancer(assignment)
+    balancer = create_balancer(assignment, strategy="permanent")
     rng = np.random.default_rng(seed)
     cap = max_domain_cells(m, nc)
     for _ in range(120):

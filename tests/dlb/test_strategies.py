@@ -12,9 +12,9 @@ Four contract groups:
   :class:`~repro.faults.audit.InvariantAuditor`, and actually move cells;
   ``none`` never does.
 * **Selection plumbing** -- one resolver: config field > ``REPRO_BALANCER``
-  env var > auto; unknown names fail with the registered choices listed;
-  direct ``DynamicLoadBalancer`` construction warns and stays permanent
-  regardless of the environment.
+  env var > auto, applied only by ``create_balancer``; unknown names fail
+  with the registered choices listed; ``DynamicLoadBalancer`` itself takes
+  a strategy instance.
 * **State** -- strategy identity rides checkpoints; resuming under a
   different strategy refuses with an actionable error.
 """
@@ -113,9 +113,7 @@ class TestSeamEquivalence:
         for seam_a, legacy_a, topology, times, config in _evolving_snapshots(
             **config_kwargs
         ):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                balancer = DynamicLoadBalancer(seam_a, config)
+            balancer = create_balancer(seam_a, config, strategy="permanent")
             seam_moves = balancer.decide(times)
             legacy_moves = _legacy_decide(legacy_a, topology, times, config)
             assert seam_moves == legacy_moves
@@ -339,11 +337,16 @@ class TestSelectionPlumbing:
         )
         assert result.meta["balancer"] == "none"
 
-    def test_direct_construction_warns_and_stays_permanent(self, monkeypatch):
+    def test_direct_construction_takes_a_strategy_instance(self, monkeypatch):
+        """Names are resolved only by create_balancer; the shell itself takes
+        a Balancer instance and never reads the environment."""
         monkeypatch.setenv("REPRO_BALANCER", "sfc")
-        with pytest.warns(DeprecationWarning, match="create_balancer"):
-            balancer = DynamicLoadBalancer(CellAssignment(9, 9))
-        assert balancer.strategy_name == "permanent"
+        balancer = DynamicLoadBalancer(
+            CellAssignment(9, 9), create_strategy("diffusion")
+        )
+        assert balancer.strategy_name == "diffusion"
+        with pytest.raises(ConfigurationError, match="create_balancer"):
+            DynamicLoadBalancer(CellAssignment(9, 9), "permanent")
 
     def test_factory_construction_does_not_warn(self):
         with warnings.catch_warnings():
@@ -367,9 +370,7 @@ class TestSelectionPlumbing:
             # The registry accepts it even though the config-level name
             # validation does not: custom strategies are a library-level
             # extension point, reached via create_balancer(strategy=...).
-            balancer = DynamicLoadBalancer(
-                CellAssignment(9, 9), strategy=Lazy(), _from_factory=True
-            )
+            balancer = DynamicLoadBalancer(CellAssignment(9, 9), Lazy())
             assert balancer.strategy_name == "lazy"
         finally:
             from repro.dlb import strategies as _mod

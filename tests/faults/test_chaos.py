@@ -26,8 +26,8 @@ from repro.config import (
 from repro.core.checkpoint import CheckpointManager
 from repro.core.runner import DrivenLoadRunner, ParallelMDRunner
 from repro.decomp.assignment import CellAssignment
-from repro.dlb.balancer import DynamicLoadBalancer
 from repro.dlb.spmd_protocol import spmd_decide
+from repro.dlb.strategies import create_balancer
 from repro.dlb.views import TimingView
 from repro.faults import (
     FaultInjector,
@@ -217,30 +217,42 @@ class TestKillAndResume:
 
 class TestProtocolEquivalenceUnderFaults:
     def test_central_and_spmd_agree_under_timing_drops(self):
+        """Every per-rank strategy, under both policies, on stale views."""
         plan = FaultPlan(seed=13, timing=TimingFaultRule(drop=0.4, max_staleness=2))
-        injector = FaultInjector(plan, 9)
-        a = CellAssignment(9, 9)
-        b = CellAssignment(9, 9)
-        central = DynamicLoadBalancer(a, injector=injector)
-        spmd_view = TimingView(9, injector.max_staleness)
-        rng = np.random.default_rng(3)
-        for step in range(1, 15):
-            times = rng.uniform(0.1, 2.0, 9)
-            central_moves = central.step(times, step=step)
-            spmd_moves = spmd_decide(
-                b, times, injector=injector, step=step, view=spmd_view
-            )
-            assert central_moves == spmd_moves
-            for move in spmd_moves:  # spmd_decide is decision-only
-                b.transfer(move.cell, move.dst)
-        assert np.array_equal(a.holder, b.holder)
+        configs = (DLBConfig(), DLBConfig(policy="threshold", threshold=0.3))
+        for strategy in ("permanent", "diffusion", "none"):
+            for config in configs:
+                injector = FaultInjector(plan, 9)
+                a = CellAssignment(9, 9)
+                b = CellAssignment(9, 9)
+                central = create_balancer(
+                    a, config, injector=injector, strategy=strategy
+                )
+                spmd_view = TimingView(9, injector.max_staleness)
+                transfer = (
+                    b.transfer if central.strategy.constrained else b.transfer_any
+                )
+                rng = np.random.default_rng(3)
+                for step in range(1, 15):
+                    times = rng.uniform(0.1, 2.0, 9)
+                    central_moves = central.step(times, step=step)
+                    spmd_moves = spmd_decide(
+                        b, times, injector=injector, step=step, view=spmd_view,
+                        strategy=strategy, config=config,
+                    )
+                    assert central_moves == spmd_moves, (strategy, config)
+                    for move in spmd_moves:  # spmd_decide is decision-only
+                        transfer(move.cell, move.dst)
+                assert np.array_equal(a.holder, b.holder), (strategy, config)
 
     def test_total_drop_degrades_to_no_move(self):
         """No usable neighbour information => the safe no-move decision."""
         plan = FaultPlan(seed=1, timing=TimingFaultRule(drop=1.0, max_staleness=0))
         injector = FaultInjector(plan, 9)
         assignment = CellAssignment(9, 9)
-        balancer = DynamicLoadBalancer(assignment, injector=injector)
+        balancer = create_balancer(
+            assignment, injector=injector, strategy="permanent"
+        )
         rng = np.random.default_rng(5)
         for step in range(1, 10):
             assert balancer.step(rng.uniform(0.1, 2.0, 9), step=step) == []

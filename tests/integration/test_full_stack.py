@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import (
-    DrivenLoadRunner,
-    ParallelMDRunner,
-    RunConfig,
-    supercooled_simulation_config,
-)
+from repro import RunConfig, api, supercooled_simulation_config
 from repro.core.ddm import decomposed_force_pass
+from repro.core.runner import ParallelMDRunner
 from repro.decomp.validation import check_eight_neighbor_property
 from repro.md.forces import ForceField
 from repro.theory.bounds import upper_bound
@@ -41,9 +37,9 @@ class TestDLBHelpsOnConcentratingWorkload:
             )
             # Pinned: the figure's DLB arm is the paper's balancer; a
             # REPRO_BALANCER=none matrix leg would make both arms DDM.
-            results[dlb_enabled] = DrivenLoadRunner(
-                config, rounds_per_config=4, balancer="permanent"
-            ).run(schedule)
+            results[dlb_enabled] = api.simulate_driven(
+                config, schedule, rounds_per_config=4, balancer="permanent"
+            )
         return results
 
     def test_ddm_spread_grows(self, runs):

@@ -11,11 +11,13 @@ The tentpole contracts, exercised end-to-end through ``repro.api``:
   inputs (``repro explain``).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro import api
-from repro.config import RunConfig
+from repro import api, get_preset
+from repro.config import DLBConfig, RunConfig
 from repro.dlb.explain import explain_events, find_run_start, render_explanation
 from repro.errors import AnalysisError
 from repro.faults import (
@@ -201,6 +203,32 @@ class TestExplain:
                        if d.step == decision["step"]]
         assert not tampered.matches
         assert "DIVERGES" in render_explanation(tampered)
+
+
+class TestExplainThresholdPolicy:
+    def test_threshold_run_replays_exactly_and_narrates_the_gate(self):
+        """The replay runs the strategy's own policy gate: a faulted
+        threshold-policy run replays move-for-move, and PEs the gate held
+        back are narrated as such."""
+        config = dataclasses.replace(
+            get_preset(PRESET).simulation_config(),
+            dlb=DLBConfig(policy="threshold", threshold=0.2),
+        )
+        observability = Observability(events=EventLog())
+        api.simulate(
+            config,
+            run=RunConfig(steps=STEPS, seed=7, record_interval=1),
+            balancer="permanent",
+            faults=fault_plan(),
+            observability=observability,
+        )
+        records = observability.events.records
+        assert records[0]["dlb"]["policy"] == "threshold"
+        decisions = explain_events(records)
+        assert decisions and all(d.matches for d in decisions)
+        assert any(d.logged_moves for d in decisions)
+        rendered = "\n".join(render_explanation(d) for d in decisions)
+        assert "stayed under the 0.2 imbalance threshold — no move" in rendered
 
 
 class TestExplainStrategyDispatch:

@@ -74,6 +74,16 @@ def wait_until(predicate, timeout=30.0, interval=0.05, message="condition"):
 
 
 @pytest.mark.slow
+class TestFleetStart:
+    def test_failed_start_stops_the_members_that_started(self, tmp_path):
+        fleet = Fleet(tmp_path / "store", size=2, log_dir=tmp_path / "logs")
+        fleet.servers[1].args.append("--no-such-flag")
+        with pytest.raises(ServiceError, match="server-1 exited"):
+            fleet.start()
+        assert fleet.alive == []
+
+
+@pytest.mark.slow
 class TestFailover:
     def test_sigkill_owner_survivor_finishes_byte_identical(self, tmp_path):
         store_dir = tmp_path / "store"

@@ -8,7 +8,14 @@ the CI ``service-smoke`` job).
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
+import time
+from pathlib import Path
 
 from repro.campaign.spec import RunSpec
 from repro.campaign.store import RunStore
@@ -115,3 +122,51 @@ class TestDrain:
             assert store.get(first).status == "pending"
             assert store.get(queued).status == "pending"
         gate.set()
+
+
+#: A server stand-in: one pool child (with the service's initializer)
+#: runs a task that would leave a side effect after its parent is gone.
+_ORPHAN_SCRIPT = textwrap.dedent(
+    """
+    import os, sys, time
+    from concurrent.futures import ProcessPoolExecutor
+    from pathlib import Path
+
+    from repro.service.worker import _exit_with_parent
+
+    def outlive_parent(directory):
+        Path(directory, "started").touch()
+        time.sleep(2.0)
+        Path(directory, "finished").touch()
+
+    if __name__ == "__main__":
+        pool = ProcessPoolExecutor(
+            1, initializer=_exit_with_parent, initargs=(os.getpid(),)
+        )
+        pool.submit(outlive_parent, sys.argv[1])
+        time.sleep(60)
+    """
+)
+
+
+class TestSigkilledServer:
+    def test_pool_child_exits_with_its_parent(self, tmp_path):
+        """A SIGKILLed server's pool child stops instead of running on."""
+        script = tmp_path / "server.py"
+        script.write_text(_ORPHAN_SCRIPT)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        server = subprocess.Popen(
+            [sys.executable, str(script), str(tmp_path)], env=env
+        )
+        try:
+            _wait_until(lambda: (tmp_path / "started").exists(), timeout_s=30.0)
+        finally:
+            server.send_signal(signal.SIGKILL)
+            server.wait(timeout=10)
+        # The task would finish 2 s after it started; give it 3 s more.
+        time.sleep(3.0)
+        assert not (tmp_path / "finished").exists()

@@ -1,4 +1,4 @@
-"""The ``repro.api`` facade: shims, persisted artifacts, validation."""
+"""The ``repro.api`` facade: top-level surface, persisted artifacts, validation."""
 
 import warnings
 
@@ -26,33 +26,30 @@ def small_config(dlb_enabled: bool = True) -> SimulationConfig:
 
 
 class TestDeprecatedShims:
-    """Old top-level entry points still work but say so loudly."""
+    """The old top-level runner shims are gone; the classes live in
+    ``repro.core.runner`` and runs go through ``repro.api``."""
 
-    def test_parallel_runner_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.simulate"):
-            cls = repro.ParallelMDRunner
+    @staticmethod
+    def _assert_not_exported(name):
+        assert name not in repro.__all__
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
 
-        from repro.core.runner import ParallelMDRunner
+    def test_parallel_runner_shim_is_gone(self):
+        self._assert_not_exported("ParallelMDRunner")
 
-        assert cls is ParallelMDRunner
-
-    def test_driven_runner_warns(self):
-        with pytest.warns(DeprecationWarning, match="simulate_driven"):
-            cls = repro.DrivenLoadRunner
-
-        from repro.core.runner import DrivenLoadRunner
-
-        assert cls is DrivenLoadRunner
+    def test_driven_runner_shim_is_gone(self):
+        self._assert_not_exported("DrivenLoadRunner")
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.NoSuchThing
 
-    def test_shim_and_api_are_equivalent(self):
-        """The deprecated class path computes the same physics as simulate()."""
-        with pytest.warns(DeprecationWarning):
-            runner_cls = repro.ParallelMDRunner
-        old = runner_cls(small_config(), RunConfig(steps=3, seed=5)).run()
+    def test_runner_class_and_api_are_equivalent(self):
+        """The runner class path computes the same physics as simulate()."""
+        from repro.core.runner import ParallelMDRunner
+
+        old = ParallelMDRunner(small_config(), RunConfig(steps=3, seed=5)).run()
         new = api.simulate(small_config(), run=RunConfig(steps=3, seed=5))
         assert old.digest() == new.digest()
 
